@@ -9,10 +9,17 @@ delay, and reorder the replication envelopes themselves.
 """
 
 import os
+import random
 
 import pytest
 
-from repro.archive import SiteArchive, encode_archive
+from repro.archive import (
+    NO_CONTAINER,
+    REPLICATION_VERSION,
+    SiteArchive,
+    decode_archive,
+    encode_archive,
+)
 from repro.archive.replication import (
     ZERO_CURSOR,
     apply_archive_delta,
@@ -67,6 +74,67 @@ def grow_archive(
         archive.alert_cursors["q-test"] = b + 1
         archive.last_boundary = time
     archive.seal()
+
+
+def append_tail(archive: SiteArchive, rows: int) -> None:
+    """Append ``rows`` same-width rows to the event and alert logs.
+
+    Every call appends identical rows (and one location row per event
+    after the first, toggling the tag's place), so two archives with
+    tails of different lengths differ only in how many rows they hold.
+    Nothing seals while the events log stays below ``seal_every``.
+    """
+    tag = archive.intern_tag(EPC(TagKind.ITEM, 1))
+    name_id = archive.intern_key("q-tail")
+    for _ in range(rows):
+        place = archive.events.row_count() % 2
+        archive.location.observe(tag, 50, ((place, 1.0),), value_only=True)
+        archive.events.append(50, tag, place, NO_CONTAINER)
+        archive.alerts.append(name_id, name_id, 50, 50, (1.0,))
+    archive.last_event[tag] = 50
+    archive.last_boundary = 50
+
+
+class LossyLink:
+    """A seeded link that drops, duplicates, delays and reorders everything.
+
+    :class:`FaultyTransport` passes unsequenced envelopes through intact,
+    and replica fetches and deltas are unsequenced, so the replica
+    plane's own loss handling needs this fault source. ``flush`` delivers
+    queued envelopes in random order; a delayed one waits for a later
+    flush, i.e. a later catch-up round.
+    """
+
+    def __init__(self, seed: int, rate: float = 0.2) -> None:
+        self.rng = random.Random(seed)
+        self.rate = rate
+        self.handlers = {}
+        self.queue: list[Envelope] = []
+        self.delayed: list[Envelope] = []
+        self.injected = {"drop": 0, "duplicate": 0, "delay": 0}
+
+    def register(self, site: int, handler) -> None:
+        self.handlers[site] = handler
+
+    def send(self, env: Envelope) -> None:
+        if self.rng.random() < self.rate:
+            self.injected["drop"] += 1
+            return
+        self.queue.append(env)
+        if self.rng.random() < self.rate:
+            self.injected["duplicate"] += 1
+            self.queue.append(env)
+
+    def flush(self) -> None:
+        self.queue.extend(self.delayed)
+        self.delayed = []
+        while self.queue:
+            env = self.queue.pop(self.rng.randrange(len(self.queue)))
+            if self.rng.random() < self.rate:
+                self.injected["delay"] += 1
+                self.delayed.append(env)
+            else:
+                self.handlers[env.dst](env)
 
 
 def assert_identical(replica: ArchiveReplica, primary: SiteArchive) -> None:
@@ -138,6 +206,114 @@ class TestDeltaCodec:
         assert encode_archive(rebuilt) == encode_archive(primary)
 
 
+class TestSuffixDeltas:
+    """The mutable tail ships as a suffix of what the replica holds."""
+
+    def test_delta_size_does_not_depend_on_the_held_tail(self):
+        sizes = []
+        for held in (10, 1000):
+            primary = SiteArchive(0, seal_every=2048)
+            append_tail(primary, held)
+            replica, _, _ = apply_archive_delta(
+                None, encode_archive_delta(primary, ZERO_CURSOR)
+            )
+            cursor = cursor_of(replica)
+            assert cursor.segments == (0, 0, 0, 0, 0)
+            assert cursor.pending[3] == held
+            append_tail(primary, 7)
+            delta = encode_archive_delta(primary, cursor)
+            applied, _, full = apply_archive_delta(replica, delta)
+            assert applied is replica and not full
+            assert encode_archive(replica) == encode_archive(primary)
+            sizes.append(len(delta))
+        assert sizes[0] == sizes[1]
+
+    def test_duplicated_suffix_delta_is_dropped_as_stale(self):
+        transport = InProcessTransport()
+        primary = SiteArchive(0, seal_every=2048)
+        append_tail(primary, 10)
+        ArchivePublisher(primary).bind(transport)
+        replica = ArchiveReplica(0, replica_site_id(0, 0, 1))
+        replica.bind(transport)
+        replica.catch_up()
+        append_tail(primary, 5)
+        delta = encode_archive_delta(primary, cursor_of(replica.archive), fetch_id=9)
+        envelope = Envelope(0, replica.site_id, REPLICA_SEGMENTS, delta, 0)
+        replica.handle(envelope)
+        replica.handle(envelope)
+        assert replica.stats.stale_deltas == 1
+        assert replica.stats.full_resyncs == 0
+        assert len(replica.archive.events.pending) == len(primary.events.pending) == 15
+        assert_identical(replica, primary)
+
+    def test_crossing_seal_every_ships_the_new_segment(self):
+        primary = SiteArchive(0, seal_every=8)
+        append_tail(primary, 5)
+        replica, _, _ = apply_archive_delta(
+            None, encode_archive_delta(primary, ZERO_CURSOR)
+        )
+        cursor = cursor_of(replica)
+        assert cursor.segments[3] == 0 and cursor.pending[3] == 5
+        append_tail(primary, 6)  # 11 event rows: one sealed segment + 3 pending
+        applied, _, full = apply_archive_delta(
+            replica, encode_archive_delta(primary, cursor)
+        )
+        assert applied is replica and not full
+        after = cursor_of(replica)
+        assert after == cursor_of(primary)
+        assert after.segments[3] == 1 and after.pending[3] == 3
+        assert encode_archive(replica) == encode_archive(primary)
+
+    def test_cursor_past_a_restored_primary_tail_forces_full_resync(self):
+        primary = SiteArchive(0, seal_every=2048)
+        append_tail(primary, 10)
+        checkpoint = encode_archive(primary)
+        append_tail(primary, 20)
+        replica, _, _ = apply_archive_delta(
+            None, encode_archive_delta(primary, ZERO_CURSOR)
+        )
+        cursor = cursor_of(replica)
+        restored = decode_archive(checkpoint)
+        # Same generation, segment counts and intern tables: only the
+        # pending counts tell the replica is ahead of the restored tail.
+        assert cursor._replace(pending=ZERO_CURSOR.pending) == cursor_of(
+            restored
+        )._replace(pending=ZERO_CURSOR.pending)
+        assert cursor.pending[3] == 30 and len(restored.events.pending) == 10
+        rebuilt, _, full = apply_archive_delta(
+            replica, encode_archive_delta(restored, cursor)
+        )
+        assert full and rebuilt is not replica
+        assert encode_archive(rebuilt) == encode_archive(restored)
+
+    @pytest.mark.parametrize("seed", CHAOS_SEEDS)
+    def test_chaos_catchup_identity_suffix(self, seed):
+        """Suffix and segment deltas over drops, duplicates, reordering."""
+        link = LossyLink(seed)
+        primary = SiteArchive(0, seal_every=16)
+        ArchivePublisher(primary).bind(link)
+        replica = ArchiveReplica(0, replica_site_id(0, 0, 1))
+        replica.bind(link)
+        for _ in range(12):  # 36 event rows: two seals, suffixes between
+            append_tail(primary, 3)
+            replica.catch_up()
+            assert_identical(replica, primary)
+        assert cursor_of(replica.archive).segments[3] == 2
+        assert replica.stats.full_resyncs == 0
+        assert replica.stats.stale_deltas > 0
+        assert all(link.injected.values()), link.injected
+
+    def test_version_1_fetch_and_delta_are_rejected(self):
+        primary = build_archive()
+        fetch = encode_replica_fetch(1, cursor_of(primary))
+        delta = encode_archive_delta(primary, ZERO_CURSOR)
+        assert REPLICATION_VERSION == 2 and fetch[0] == delta[0] == 2
+        with pytest.raises(ValueError, match="version 1"):
+            decode_replica_fetch(b"\x01" + fetch[1:])
+        with pytest.raises(ValueError, match="version 1"):
+            apply_archive_delta(None, b"\x01" + delta[1:])
+
+
 class TestReplicaService:
     def wire(self, transport=None):
         transport = transport if transport is not None else InProcessTransport()
@@ -161,12 +337,19 @@ class TestReplicaService:
         _, primary, replica = self.wire()
         assert replica.catch_up() == 1
         assert_identical(replica, primary)
+        rows_before = primary.row_count()
         grow_archive(primary, 4, 2)
+        added = primary.row_count() - rows_before
         first_bytes = replica.stats.bytes_applied
         replica.catch_up()
         assert_identical(replica, primary)
-        # The second round shipped a delta, not the whole archive again.
-        assert replica.stats.bytes_applied - first_bytes < first_bytes
+        # The second round shipped a delta, not the whole archive again:
+        # at most 64 B per added row (the widest sealed row, an alert
+        # with two values, is 56 B) plus 512 B for the header, new
+        # intern entries and the open intervals of the five live tags.
+        second_bytes = replica.stats.bytes_applied - first_bytes
+        assert second_bytes < first_bytes
+        assert second_bytes <= 64 * added + 512
         assert replica.stats.full_resyncs == 0
 
     def test_compaction_resync_through_the_service(self):
