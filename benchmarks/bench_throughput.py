@@ -5,12 +5,7 @@ Sweeps item counts through the single-site periodic inference service
 records, per configuration:
 
 * **epochs/sec** — stream epochs divided by total inference seconds;
-* **per-run latency** p50/p95 and the per-phase breakdown
-  (online detector / window build / stability-gate pruning / E-step /
-  M-step / evidence / change detection / critical regions / events)
-  from ``RunRecord.phase_seconds`` — the detector and prune phases are
-  exact zeros here because this sweep runs ungated (the gated
-  long-stream sweep lives in ``bench_longstream.py``);
+* **per-run latency** p50/p95 (``RunRecord.duration_seconds``);
 * **peak RSS** of the process.
 
 A second, **federated** sweep drives an 8-site supply-chain federation
@@ -40,6 +35,16 @@ Usage::
         --baseline BENCH_throughput.json --max-regression 0.25       # CI gate
 
 or through pytest (``python -m pytest benchmarks/bench_throughput.py``).
+
+For the per-phase breakdown of every inference run (detector / window /
+prune / candidates / M-step set-up / E-step / M-step / evidence /
+changes / critical regions / events, as ``inference/phase.*`` spans
+under each ``inference/run``), run traced and summarize the dump::
+
+    PYTHONPATH=src python benchmarks/bench_throughput.py --smoke --trace \
+        --output BENCH_throughput.ci.json
+    PYTHONPATH=src python -m repro.obs.summary \
+        BENCH_throughput.ci.telemetry.jsonl --plane inference
 """
 
 from __future__ import annotations
@@ -73,17 +78,6 @@ DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_throughput.json")
 #: (items/case, cases/pallet) — the first entry is the smoke subset.
 ITEM_COUNTS = [(6, 5), (12, 5), (20, 6)]
 HORIZON = 1500
-PHASES = [
-    "detector",
-    "window",
-    "prune",
-    "e_step",
-    "m_step",
-    "evidence",
-    "changes",
-    "cr",
-    "events",
-]
 
 #: federated scale-out sweep: supply-chain *chains* (every pallet
 #: visits every site, so per-site load is near-uniform and the default
@@ -154,10 +148,6 @@ def run_sweep(smoke: bool = False) -> list[dict]:
         latencies = np.asarray(
             [r.duration_seconds for r in service.runs if r.window_rows > 0]
         )
-        phase_totals = {phase: 0.0 for phase in PHASES}
-        for record in service.runs:
-            for phase, seconds in record.phase_seconds.items():
-                phase_totals[phase] = phase_totals.get(phase, 0.0) + seconds
         points.append(
             {
                 "label": f"{len(result.truth.items())}-items-static",
@@ -169,7 +159,6 @@ def run_sweep(smoke: bool = False) -> list[dict]:
                 "latency_p50_seconds": float(np.percentile(latencies, 50)),
                 "latency_p95_seconds": float(np.percentile(latencies, 95)),
                 "total_inference_seconds": service.total_inference_seconds,
-                "phase_seconds": {k: round(v, 6) for k, v in phase_totals.items()},
                 "events_emitted": len(service.events),
                 "base_rows_reused": service._windows.rows_reused,
                 "base_rows_built": service._windows.rows_built,

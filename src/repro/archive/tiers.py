@@ -30,12 +30,12 @@ import os
 import struct
 import zlib
 from collections import OrderedDict
+from dataclasses import asdict, dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from repro._util.encoding import ByteReader, ByteWriter
-from repro.obs.registry import MetricsRegistry
 
 __all__ = [
     "ArchiveCorruption",
@@ -62,42 +62,19 @@ class SegmentHandle(NamedTuple):
     rows: int
 
 
-def _tier_counter_property(metric: str):
-    def _get(self: "TierStats") -> int:
-        return self.registry.counter(metric).value
-
-    def _set(self: "TierStats", value: int) -> None:
-        self.registry.counter(metric).set(value)
-
-    return property(_get, _set, doc=f"registry-backed tier counter {metric!r}")
-
-
+@dataclass
 class TierStats:
-    """Spill/load accounting for one :class:`DiskTier`, backed by an
-    always-on :class:`~repro.obs.MetricsRegistry` behind compat
-    properties (the ``+=`` call sites read-then-write the same series)."""
+    """Spill/load accounting for one :class:`DiskTier`."""
 
-    FIELDS = (
-        "spills",
-        "loads",
-        "cache_hits",
-        "evictions",
-        "bytes_spilled",
-        "corruptions",
-    )
-
-    spills = _tier_counter_property("spills")
-    loads = _tier_counter_property("loads")
-    cache_hits = _tier_counter_property("cache_hits")
-    evictions = _tier_counter_property("evictions")
-    bytes_spilled = _tier_counter_property("bytes_spilled")
-    corruptions = _tier_counter_property("corruptions")
-
-    def __init__(self) -> None:
-        self.registry = MetricsRegistry()
+    spills: int = 0
+    loads: int = 0
+    cache_hits: int = 0
+    evictions: int = 0
+    bytes_spilled: int = 0
+    corruptions: int = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in self.FIELDS}
+        return asdict(self)
 
 
 class DiskTier:

@@ -40,7 +40,6 @@ line-by-line implementation in :mod:`repro.core.reference`.
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -48,6 +47,7 @@ import numpy as np
 
 from repro.core.candidates import colocation_counts, top_candidates
 from repro.core.likelihood import TraceWindow
+from repro.obs import get_telemetry
 from repro.sim.tags import EPC, TagKind
 
 __all__ = ["InferenceConfig", "RFInfer", "RFInferResult"]
@@ -94,8 +94,6 @@ class RFInferResult:
     object_masks: dict[EPC, np.ndarray] = field(default_factory=dict)
     #: final believed contents of each container (for location smoothing).
     members: dict[EPC, list[EPC]] = field(default_factory=dict)
-    #: wall-clock seconds per engine phase (e_step / m_step / evidence).
-    timings: dict[str, float] = field(default_factory=dict)
     _solo_cache: dict[EPC, np.ndarray] = field(default_factory=dict, repr=False)
     _location_cache: dict[EPC, np.ndarray] = field(default_factory=dict, repr=False)
     #: per-(container, member-set) log-normalizer rows memoized during
@@ -647,62 +645,66 @@ class RFInfer:
     # -- the EM loop ---------------------------------------------------------
 
     def run(self) -> RFInferResult:
+        """Run EM to convergence. With telemetry on, each phase is an
+        ``inference/phase.*`` span under the caller's open span."""
         window = self.window
         config = self.config
-        candidates = self._select_candidates()
-        assignment = self._initial_assignment(candidates)
-        needed_containers = sorted(
-            {c for cands in candidates.values() for c in cands}
-            | {c for c in assignment.values() if c is not None}
-            | set(self.pinned.values())
-        )
-        masks = self._object_masks()
-        batch = (
-            _MStepBatch(window, self.objects, candidates, masks, self.prior_weights)
-            if config.batched
-            else None
-        )
+        tel = get_telemetry()
+        with tel.span("inference", "phase.candidates"):
+            candidates = self._select_candidates()
+            assignment = self._initial_assignment(candidates)
+            needed_containers = sorted(
+                {c for cands in candidates.values() for c in cands}
+                | {c for c in assignment.values() if c is not None}
+                | set(self.pinned.values())
+            )
+            masks = self._object_masks()
+        batch = None
+        if config.batched:
+            with tel.span("inference", "phase.mstep_setup"):
+                batch = _MStepBatch(
+                    window, self.objects, candidates, masks, self.prior_weights
+                )
 
         posteriors: dict[EPC, np.ndarray] = {}
         members_of: dict[EPC, frozenset[EPC]] = {}
         logz_cache: dict[tuple[EPC, frozenset], np.ndarray] = {}
         weights: dict[EPC, dict[EPC, float]] = {obj: {} for obj in self.objects}
         iterations = 0
-        timings = {"e_step": 0.0, "m_step": 0.0, "evidence": 0.0}
 
         for iterations in range(1, config.max_iterations + 1):
             # E-step: posterior over each needed container's location.
-            started = _time.perf_counter()
-            current_members: dict[EPC, list[EPC]] = {c: [] for c in needed_containers}
-            for obj, container in assignment.items():
-                if container is not None:
+            with tel.span("inference", "phase.e_step"):
+                current_members: dict[EPC, list[EPC]] = {
+                    c: [] for c in needed_containers
+                }
+                for obj, container in assignment.items():
+                    if container is not None:
+                        current_members.setdefault(container, []).append(obj)
+                for obj, container in self.pinned.items():
                     current_members.setdefault(container, []).append(obj)
-            for obj, container in self.pinned.items():
-                current_members.setdefault(container, []).append(obj)
-            for container in needed_containers:
-                group = frozenset(current_members.get(container, ()))
-                if (
-                    config.memoize
-                    and container in posteriors
-                    and members_of.get(container) == group
-                ):
-                    continue  # memoization: member set unchanged
-                posteriors[container], logz = window.group_posterior_logz(
-                    [container, *sorted(group)]
-                )
-                logz_cache[(container, group)] = logz
-                members_of[container] = group
-            timings["e_step"] += _time.perf_counter() - started
+                for container in needed_containers:
+                    group = frozenset(current_members.get(container, ()))
+                    if (
+                        config.memoize
+                        and container in posteriors
+                        and members_of.get(container) == group
+                    ):
+                        continue  # memoization: member set unchanged
+                    posteriors[container], logz = window.group_posterior_logz(
+                        [container, *sorted(group)]
+                    )
+                    logz_cache[(container, group)] = logz
+                    members_of[container] = group
 
             # M-step: co-location strengths and argmax assignment.
-            started = _time.perf_counter()
-            if batch is not None:
-                new_assignment = batch.step(posteriors, assignment)
-            else:
-                new_assignment = self._mstep_per_pair(
-                    candidates, posteriors, masks, weights, assignment
-                )
-            timings["m_step"] += _time.perf_counter() - started
+            with tel.span("inference", "phase.m_step"):
+                if batch is not None:
+                    new_assignment = batch.step(posteriors, assignment)
+                else:
+                    new_assignment = self._mstep_per_pair(
+                        candidates, posteriors, masks, weights, assignment
+                    )
 
             if new_assignment == assignment:
                 break
@@ -713,12 +715,11 @@ class RFInfer:
 
         evidence: dict[EPC, dict[EPC, np.ndarray]] | None = None
         if config.keep_evidence:
-            started = _time.perf_counter()
-            if batch is not None:
-                evidence = batch.evidence(masks)
-            else:
-                evidence = self._evidence_per_pair(candidates, posteriors, masks)
-            timings["evidence"] += _time.perf_counter() - started
+            with tel.span("inference", "phase.evidence"):
+                if batch is not None:
+                    evidence = batch.evidence(masks)
+                else:
+                    evidence = self._evidence_per_pair(candidates, posteriors, masks)
 
         final_members: dict[EPC, list[EPC]] = {c: [] for c in needed_containers}
         for obj, container in assignment.items():
@@ -740,6 +741,5 @@ class RFInfer:
             evidence=evidence,
             object_masks={o: m for o, m in masks.items() if m is not None},
             members=final_members,
-            timings=timings,
             _logz_cache=logz_cache,
         )

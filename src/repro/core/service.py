@@ -33,7 +33,7 @@ from repro.core.online import (
 )
 from repro.core.rfinfer import InferenceConfig, RFInfer, RFInferResult
 from repro.core.truncation import CriticalRegion, find_critical_regions
-from repro.obs import get_telemetry
+from repro.obs import Telemetry, get_telemetry
 from repro.sim.tags import EPC, TagKind
 from repro.sim.trace import Trace
 
@@ -102,10 +102,6 @@ class RunRecord:
     window_rows: int
     iterations: int
     result: RFInferResult | None = None
-    #: wall-clock seconds per pipeline phase (detector / window / prune /
-    #: e_step / m_step / evidence / changes / cr / events; the runtime
-    #: adds queries and archive).
-    phase_seconds: dict[str, float] = field(default_factory=dict)
     #: tags the stability gate let skip full inference this run.
     pruned_tags: int = 0
     #: tags that went through the full EM/CR/event path this run.
@@ -289,136 +285,141 @@ class StreamingInference:
         return [(max(s, floor), e) for s, e in ranges if e > max(s, floor)]
 
     def run_at(self, now: int) -> RunRecord:
-        """One inference run at stream time ``now``."""
-        config = self.config
+        """One inference run at stream time ``now``.
+
+        With telemetry on, the run is an ``inference/run`` span whose
+        children are the phases it passed through (``phase.*``)."""
+        tel = get_telemetry()
         started = _time.perf_counter()
-        # The detector/prune phases are recorded (as exact 0.0) even
-        # with the gate disabled, so phase breakdowns aggregate
-        # uniformly across configs.
-        phases: dict[str, float] = {"detector": 0.0, "prune": 0.0}
+        with tel.span("inference", "run", site=self.site, boundary=now) as span:
+            record = self._infer(now, tel)
+            record.duration_seconds = _time.perf_counter() - started
+            span.set(
+                window_rows=record.window_rows,
+                iterations=record.iterations,
+                pruned=record.pruned_tags,
+                full=record.full_tags,
+            )
+        self.total_inference_seconds += record.duration_seconds
+        self.runs.append(record)
+        self.last_run_time = now
+        if tel.enabled:
+            tel.registry.counter("inference_runs", site=self.site).inc()
+            tel.registry.histogram("inference_run_seconds", site=self.site).observe(
+                record.duration_seconds
+            )
+        return record
+
+    def _infer(self, now: int, tel: Telemetry) -> RunRecord:
+        """The body of :meth:`run_at`; the record's duration is left
+        for the caller to fill in."""
+        config = self.config
         detector = self.online
         pruned: set[EPC] = set()
         if detector is not None:
-            mark = _time.perf_counter()
-            detector.observe(interval_signals(self.trace, self.last_run_time, now))
-            pruned = {
-                tag
-                for tag, container in self.containment.items()
-                if tag.kind is TagKind.ITEM
-                and tag not in self._seeded_only
-                and detector.prunable(tag, container)
-            }
-            # Entering the gate parks a tag's stored critical region: a
-            # full run refreshes stable tags' regions into the recent
-            # history every boundary, so carrying a frozen region here
-            # would widen later windows with stale epochs the full path
-            # never revisits. When the tag re-enters full inference
-            # (flag, refresh, staleness), its parked region is restored
-            # so the run that re-infers it still covers its critical
-            # epochs.
-            for tag in pruned:
-                region = self.critical_regions.pop(tag, None)
-                if region is not None:
-                    self.stashed_regions[tag] = region
-            for tag in [t for t in self.stashed_regions if t not in pruned]:
-                self.critical_regions[tag] = self.stashed_regions.pop(tag)
-            phases["detector"] = _time.perf_counter() - mark
+            with tel.span("inference", "phase.detector"):
+                detector.observe(interval_signals(self.trace, self.last_run_time, now))
+                pruned = {
+                    tag
+                    for tag, container in self.containment.items()
+                    if tag.kind is TagKind.ITEM
+                    and tag not in self._seeded_only
+                    and detector.prunable(tag, container)
+                }
+                # Entering the gate parks a tag's stored critical region: a
+                # full run refreshes stable tags' regions into the recent
+                # history every boundary, so carrying a frozen region here
+                # would widen later windows with stale epochs the full path
+                # never revisits. When the tag re-enters full inference
+                # (flag, refresh, staleness), its parked region is restored
+                # so the run that re-infers it still covers its critical
+                # epochs.
+                for tag in pruned:
+                    region = self.critical_regions.pop(tag, None)
+                    if region is not None:
+                        self.stashed_regions[tag] = region
+                for tag in [t for t in self.stashed_regions if t not in pruned]:
+                    self.critical_regions[tag] = self.stashed_regions.pop(tag)
         epochs = self._window_epochs(now)
         if epochs.size == 0:
-            record = RunRecord(
-                now, 0.0, dict(self.containment), [], 0, 0, phase_seconds=phases
-            )
-            self.runs.append(record)
-            self.last_run_time = now
-            self._emit_run_telemetry(record)
-            return record
+            return RunRecord(now, 0.0, dict(self.containment), [], 0, 0)
 
-        mark = _time.perf_counter()
-        window = self._windows.window(epochs)
-        objects = window.tags(TagKind.ITEM)
-        containers = window.tags(TagKind.CASE)
-        phases["window"] = _time.perf_counter() - mark
+        with tel.span("inference", "phase.window"):
+            window = self._windows.window(epochs)
+            objects = window.tags(TagKind.ITEM)
+            containers = window.tags(TagKind.CASE)
 
         if detector is not None:
-            mark = _time.perf_counter()
-            pinned = {obj: self.containment[obj] for obj in objects if obj in pruned}
-            full_objects = [obj for obj in objects if obj not in pinned]
-            phases["prune"] = _time.perf_counter() - mark
+            with tel.span("inference", "phase.prune"):
+                pinned = {obj: self.containment[obj] for obj in objects if obj in pruned}
+                full_objects = [obj for obj in objects if obj not in pinned]
         else:
             pinned = {}
             full_objects = objects
 
-        mark = _time.perf_counter()
-        object_ranges = {
-            obj: ranges
-            for obj in full_objects
-            if (ranges := self._object_ranges(obj, now)) is not None
-        }
-        initial = {
-            tag: container
-            for tag, container in self.containment.items()
-            if tag not in self._seeded_only
-        }
-        engine = RFInfer(
-            window,
-            config.inference,
-            objects=full_objects,
-            containers=containers,
-            initial_containment=initial,
-            prior_weights=self.prior_weights,
-            object_ranges=object_ranges,
-            pinned=pinned,
-        )
-        phases["window"] += _time.perf_counter() - mark
+        with tel.span("inference", "phase.window"):
+            object_ranges = {
+                obj: ranges
+                for obj in full_objects
+                if (ranges := self._object_ranges(obj, now)) is not None
+            }
+            initial = {
+                tag: container
+                for tag, container in self.containment.items()
+                if tag not in self._seeded_only
+            }
+            engine = RFInfer(
+                window,
+                config.inference,
+                objects=full_objects,
+                containers=containers,
+                initial_containment=initial,
+                prior_weights=self.prior_weights,
+                object_ranges=object_ranges,
+                pinned=pinned,
+            )
         result = engine.run()
-        phases.update(result.timings)
         self._seeded_only.difference_update(result.containment)
         for obj, obj_weights in result.weights.items():
             self.last_weights[obj] = dict(obj_weights)
 
-        mark = _time.perf_counter()
         run_changes: list[ChangePoint] = []
-        if config.change_detection and config.inference.keep_evidence:
-            if self._detector is None or self._detector.threshold != self.threshold:
-                self._detector = ChangePointDetector(self.threshold)
-            for obj in full_objects:
-                change = self._detector.detect(
-                    result, obj, floor=self.valid_from.get(obj)
-                )
-                if change is not None:
-                    run_changes.append(change)
-                    self.changes.append(change)
-                    self.valid_from[obj] = change.time
-                    result.containment[obj] = change.new_container
-        phases["changes"] = _time.perf_counter() - mark
+        with tel.span("inference", "phase.changes"):
+            if config.change_detection and config.inference.keep_evidence:
+                if self._detector is None or self._detector.threshold != self.threshold:
+                    self._detector = ChangePointDetector(self.threshold)
+                for obj in full_objects:
+                    change = self._detector.detect(
+                        result, obj, floor=self.valid_from.get(obj)
+                    )
+                    if change is not None:
+                        run_changes.append(change)
+                        self.changes.append(change)
+                        self.valid_from[obj] = change.time
+                        result.containment[obj] = change.new_container
 
         self.containment.update(result.containment)
 
         if detector is not None:
-            mark = _time.perf_counter()
-            for obj in full_objects:
-                detector.confirm(obj, result.containment.get(obj))
-            phases["detector"] += _time.perf_counter() - mark
+            with tel.span("inference", "phase.detector"):
+                for obj in full_objects:
+                    detector.confirm(obj, result.containment.get(obj))
 
-        mark = _time.perf_counter()
-        if config.truncation == "cr" and config.inference.keep_evidence:
-            self.critical_regions.update(
-                find_critical_regions(
-                    result,
-                    full_objects,
-                    width=config.cr_width,
-                    margin_threshold=config.cr_margin,
+        with tel.span("inference", "phase.cr"):
+            if config.truncation == "cr" and config.inference.keep_evidence:
+                self.critical_regions.update(
+                    find_critical_regions(
+                        result,
+                        full_objects,
+                        width=config.cr_width,
+                        margin_threshold=config.cr_margin,
+                    )
                 )
-            )
-        phases["cr"] = _time.perf_counter() - mark
 
-        mark = _time.perf_counter()
-        if config.emit_events:
-            self._emit_events(result, self.last_run_time, now)
-        phases["events"] = _time.perf_counter() - mark
+        with tel.span("inference", "phase.events"):
+            if config.emit_events:
+                self._emit_events(result, self.last_run_time, now)
 
-        duration = _time.perf_counter() - started
-        self.total_inference_seconds += duration
         if config.keep_results and not config.retain_evidence:
             # Change points, critical regions, and events are extracted
             # above; the per-(object, candidate) evidence arrays and the
@@ -430,54 +431,16 @@ class StreamingInference:
             result._logz_cache.clear()
             result._location_cache.clear()
             result._solo_cache.clear()
-        record = RunRecord(
+        return RunRecord(
             time=now,
-            duration_seconds=duration,
+            duration_seconds=0.0,
             containment=dict(self.containment),
             changes=run_changes,
             window_rows=window.n_rows,
             iterations=result.iterations,
             result=result if config.keep_results else None,
-            phase_seconds=phases,
             pruned_tags=len(pinned),
             full_tags=len(full_objects),
-        )
-        self.runs.append(record)
-        self.last_run_time = now
-        self._emit_run_telemetry(record)
-        return record
-
-    def _emit_run_telemetry(self, record: RunRecord) -> None:
-        """Telemetry-only view of a finished run: one ``inference/run``
-        span with the service's already-measured phase breakdown as
-        child spans. Reads the record, never the inference state, so a
-        traced run computes exactly what an untraced one does."""
-        tel = get_telemetry()
-        if not tel.enabled:
-            return
-        parent = tel.tracer.emit(
-            "inference",
-            "run",
-            record.duration_seconds,
-            site=self.site,
-            boundary=record.time,
-            window_rows=record.window_rows,
-            iterations=record.iterations,
-            pruned=record.pruned_tags,
-            full=record.full_tags,
-        )
-        for phase, seconds in record.phase_seconds.items():
-            tel.tracer.emit(
-                "inference",
-                f"phase.{phase}",
-                seconds,
-                parent_id=parent,
-                site=self.site,
-                boundary=record.time,
-            )
-        tel.registry.counter("inference_runs", site=self.site).inc()
-        tel.registry.histogram("inference_run_seconds", site=self.site).observe(
-            record.duration_seconds
         )
 
     # -- bounded-memory long streams ------------------------------------

@@ -14,22 +14,17 @@ at-least-once layer accounts retransmitted payload bytes under the
 over a lossy transport reports byte-identical *data* totals to the
 fault-free run plus an explicit fault-overhead column (Table 5d).
 
-The ad-hoc gauges that grew around the byte kinds (query-plan sharing,
-shard/worker load, serving retransmits, edge degradation, stability-gate
-pruning) now live on an always-on :class:`~repro.obs.MetricsRegistry`
-behind compat properties, so they share one encoding/merge protocol with
-the rest of the telemetry layer. The byte kinds themselves stay native
-``Counter`` objects: ``send()`` is the hot path, and keeping it
-unchanged is what keeps Table 5 accounting byte-identical by
-construction.
+Next to the byte kinds the ledger keeps the always-on operational
+gauges (query-plan sharing, shard/worker load, serving retransmits,
+edge degradation, stability-gate pruning, injected faults) as plain
+``int`` and ``Counter`` attributes that their owners bump in place. The
+ledger lives in the parent process: worker-side code never touches it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from typing import NamedTuple
-
-from repro.obs.registry import MetricsRegistry
 
 __all__ = [
     "Message",
@@ -62,20 +57,6 @@ class Message(NamedTuple):
     payload: bytes
 
 
-def _registry_counter_property(metric: str, doc: str):
-    """A compat property backed by a registry counter: reads return the
-    counter's value, writes overwrite it (legacy ``+=`` sites compile to
-    read-then-write, which lands on the same series)."""
-
-    def _get(self: "Network") -> int:
-        return self.registry.counter(metric).value
-
-    def _set(self: "Network", value: int) -> None:
-        self.registry.counter(metric).set(value)
-
-    return property(_get, _set, doc=doc)
-
-
 class Network:
     """Reliable in-order delivery with cost accounting."""
 
@@ -87,69 +68,36 @@ class Network:
         self.messages_by_link: Counter = Counter()
         self.log: list[Message] = []
         self.keep_log = keep_log
-        #: the ledger's own always-on metrics registry — every gauge
-        #: below is a view onto a series here. Kept outside the byte
-        #: kinds so Table 5's accounting is untouched.
-        self.registry = MetricsRegistry()
         #: shard/worker load gauges (process-parallel transports):
         #: current site count per worker and cumulative envelope bytes
         #: delivered into / originated out of each worker's shard.
         self.shard_sites: dict = {}
         self.shard_bytes_in: Counter = Counter()
         self.shard_bytes_out: Counter = Counter()
-
-    # -- registry-backed gauges (compat properties) ---------------------------
-    #: query-plan operator gauges (multi-query optimization): operator
-    #: instances actually built across all sites' engines, and
-    #: registrations served by an operator another query already built.
-    plan_operators_built = _registry_counter_property(
-        "plan_operators_built", "operator instances built across all sites"
-    )
-    plan_operators_shared = _registry_counter_property(
-        "plan_operators_shared", "operator registrations served by sharing"
-    )
-    rebalances = _registry_counter_property(
-        "rebalances", "times the shard rebalancer moved a site"
-    )
-    #: serving-frontend gauge: history-request retransmissions issued by
-    #: the gather loop (capped-backoff schedule).
-    frontend_retransmits = _registry_counter_property(
-        "frontend_retransmits", "history-request retransmissions"
-    )
-    #: edge-ingestion gauges (the readings → edge → gateway hop): batch
-    #: payloads that arrived for an already-sealed epoch window, how many
-    #: of those were dropped vs merged by a bounded window re-run, and
-    #: duplicate batches the gateway's sequence window absorbed.
-    edge_late_readings = _registry_counter_property(
-        "edge_late_readings", "readings that arrived after their window sealed"
-    )
-    edge_late_dropped = _registry_counter_property(
-        "edge_late_dropped", "late readings dropped by the drop policy"
-    )
-    edge_window_reruns = _registry_counter_property(
-        "edge_window_reruns", "sealed windows re-run to merge late readings"
-    )
-    edge_duplicate_batches = _registry_counter_property(
-        "edge_duplicate_batches", "duplicate batches the dedup window absorbed"
-    )
-
-    @property
-    def pruned_tags(self) -> Counter:
-        """Per-site cumulative tags the stability gate skipped (view onto
-        the registry's site-labeled ``pruned_tags`` series)."""
-        return self._site_counter("pruned_tags")
-
-    @property
-    def full_inference_tags(self) -> Counter:
-        """Per-site cumulative tags that ran full inference."""
-        return self._site_counter("full_inference_tags")
-
-    def _site_counter(self, metric: str) -> Counter:
-        out: Counter = Counter()
-        for series in self.registry.counters():
-            if series.name == metric:
-                out[int(dict(series.labels)["site"])] = series.value
-        return out
+        #: times the shard rebalancer moved a site.
+        self.rebalances = 0
+        #: query-plan operator gauges (multi-query optimization): operator
+        #: instances actually built across all sites' engines, and
+        #: registrations served by an operator another query already built.
+        self.plan_operators_built = 0
+        self.plan_operators_shared = 0
+        #: history-request retransmissions issued by the serving
+        #: frontend's gather loop (capped-backoff schedule).
+        self.frontend_retransmits = 0
+        #: edge-ingestion gauges (the readings → edge → gateway hop): batch
+        #: payloads that arrived for an already-sealed epoch window, how many
+        #: of those were dropped vs merged by a bounded window re-run, and
+        #: duplicate batches the gateway's sequence window absorbed.
+        self.edge_late_readings = 0
+        self.edge_late_dropped = 0
+        self.edge_window_reruns = 0
+        self.edge_duplicate_batches = 0
+        #: per-site cumulative tags the stability gate skipped, and tags
+        #: that ran full inference.
+        self.pruned_tags: Counter = Counter()
+        self.full_inference_tags: Counter = Counter()
+        #: faults a fault-injecting transport injected, by fault type.
+        self.faults_injected: Counter = Counter()
 
     def send(self, src: int, dst: int, kind: str, payload: bytes) -> bytes:
         """Deliver ``payload`` and account for its size."""
@@ -203,47 +151,7 @@ class Network:
             for src, dst in self.links()
         ]
 
-    # -- shard/worker breakdown -----------------------------------------------
-
-    def note_shard_sites(self, sites_by_worker: dict[int, int]) -> None:
-        """Record the current site count per worker (gauge, not a sum)."""
-        self.shard_sites = dict(sites_by_worker)
-
-    def note_shard_traffic(
-        self, worker: int, in_bytes: int = 0, out_bytes: int = 0
-    ) -> None:
-        self.shard_bytes_in[worker] += in_bytes
-        self.shard_bytes_out[worker] += out_bytes
-
-    def note_rebalance(self) -> None:
-        self.registry.counter("rebalances").inc()
-
-    # -- serving / edge gauges -------------------------------------------------
-
-    def note_frontend_retransmits(self, n: int = 1) -> None:
-        self.registry.counter("frontend_retransmits").inc(n)
-
-    def note_edge_late(self, n: int = 1, dropped: int = 0) -> None:
-        self.registry.counter("edge_late_readings").inc(n)
-        self.registry.counter("edge_late_dropped").inc(dropped)
-
-    def note_edge_rerun(self, n: int = 1) -> None:
-        self.registry.counter("edge_window_reruns").inc(n)
-
-    def note_edge_duplicate(self, n: int = 1) -> None:
-        self.registry.counter("edge_duplicate_batches").inc(n)
-
-    def note_pruning(self, site: int, pruned: int, full: int) -> None:
-        """Record one boundary's stability-gate split for ``site``."""
-        self.registry.counter("pruned_tags", site=site).inc(pruned)
-        self.registry.counter("full_inference_tags", site=site).inc(full)
-
-    def pruning_gauges(self) -> dict[str, dict[int, int]]:
-        """Per-site skip-rate gauges of the online stability gate."""
-        return {
-            "pruned_tags": dict(self.pruned_tags),
-            "full_inference_tags": dict(self.full_inference_tags),
-        }
+    # -- gauge views -----------------------------------------------------------
 
     def edge_gauges(self) -> dict[str, int]:
         """The edge plane's degradation gauges, for reports and benches."""

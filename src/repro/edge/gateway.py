@@ -159,7 +159,7 @@ class IngestGateway:
         link = self.expect_edge(batch.edge_id)
         if batch.seq < link.expected or batch.seq in link.buffer:
             self.stats.duplicate_batches += 1
-            self.ledger.note_edge_duplicate()
+            self.ledger.edge_duplicate_batches += 1
             self._ack(env.src, batch.seq)
             return
         if batch.seq > link.expected:
@@ -223,10 +223,11 @@ class IngestGateway:
         if not recoverable:
             self.stats.late_dropped += 1
             if not self._replaying:
-                self.ledger.note_edge_late(1, dropped=1)
+                self.ledger.edge_late_readings += 1
+                self.ledger.edge_late_dropped += 1
             return
         if not self._replaying:
-            self.ledger.note_edge_late(1)
+            self.ledger.edge_late_readings += 1
         window = self._sealed[site].setdefault(boundary, set())
         if reading in window:
             self.stats.duplicate_readings += 1
@@ -237,7 +238,7 @@ class IngestGateway:
         window.add(reading)
         self.stats.window_reruns += 1
         if not self._replaying:
-            self.ledger.note_edge_rerun()
+            self.ledger.edge_window_reruns += 1
 
     def _window_of(self, time: int) -> int:
         """The seal boundary of the window containing ``time``

@@ -67,11 +67,6 @@ class Telemetry:
             return NULL_SPAN
         return self.tracer.span(plane, name, **attrs)
 
-    def emit_span(self, plane: str, name: str, duration: float, **attrs: object) -> int:
-        if not self.enabled:
-            return 0
-        return self.tracer.emit(plane, name, duration, **attrs)
-
     def record_state(self, plane: str, name: str, **attrs: object) -> None:
         if self.enabled:
             self.recorder.record_state(plane, name, **attrs)

@@ -1,14 +1,18 @@
-"""Unified metrics registry: counters, gauges, fixed-bucket histograms.
+"""Telemetry metrics registry: counters, gauges, fixed-bucket histograms.
 
-One API absorbs the ad-hoc counters that accumulated across the planes
-(`Network` gauges, `TierStats`, edge stats). Series are keyed by
-``(name, labels)`` where labels are sorted ``(key, value)`` string
-pairs, so the same series reached from two call sites is the same
-object. ``encode()`` produces a *canonical* byte encoding — sorted
-series, sorted keys, shortest-round-trip floats — so two registries
-holding the same values encode to identical bytes regardless of
-insertion order, and ``decode(encode(r))`` round-trips exactly. That
-determinism is what lets worker processes ship registry deltas over the
+The registry holds the series that instrumentation records while a
+telemetry session is enabled (per-site inference run counts and
+latencies, gateway batch counts); worker processes ship it back to the
+parent as deltas. The always-on operational gauges — the ledger's and
+the archive tiers' — are plain attributes on their owners instead.
+
+Series are keyed by ``(name, labels)`` where labels are sorted
+``(key, value)`` string pairs, so the same series reached from two call
+sites is the same object. ``encode()`` produces a *canonical* byte
+encoding — sorted series, sorted keys, shortest-round-trip floats — so
+two registries holding the same values encode to identical bytes
+regardless of insertion order, and ``decode(encode(r))`` round-trips
+exactly. That determinism is what lets worker processes ship registry deltas over the
 pipe plane and lets tests assert telemetry-on/off bit-identity.
 """
 
@@ -45,11 +49,6 @@ class Counter:
 
     def inc(self, n: int | float = 1) -> None:
         self.value += n
-
-    def set(self, value: int | float) -> None:
-        # Compat hook for legacy ``ledger.gauge = n`` assignment sites;
-        # new code should use inc().
-        self.value = value
 
 
 class Gauge:

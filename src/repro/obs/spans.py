@@ -98,28 +98,15 @@ class Tracer:
     def span(self, plane: str, name: str, **attrs: object) -> _Span:
         return _Span(self, plane, name, self.current_id(), attrs)
 
-    def emit(
-        self,
-        plane: str,
-        name: str,
-        duration: float,
-        parent_id: int | None = None,
-        **attrs: object,
-    ) -> int:
-        """Record a pre-timed span (e.g. a phase duration the service
-        already measured) without re-running it under a context manager."""
-        span_id = next(self._ids)
-        entry: dict = {
-            "type": "span",
-            "plane": plane,
-            "name": name,
-            "span_id": span_id,
-            "parent_id": self.current_id() if parent_id is None else parent_id,
-            "duration": duration,
-        }
-        entry.update(attrs)
-        self._sink(entry)
-        return span_id
+    def fork(self, namespace: int) -> None:
+        """Restart span ids in ``namespace`` and drop the span stack.
+
+        A forked child process inherits the parent's id counter and
+        open-span stack; without a fresh namespace its spans would reuse
+        the parent's (and its siblings') ids, and its first spans would
+        claim a parent that never ran in this process."""
+        self._ids = itertools.count((namespace << 32) + 1)
+        self._local = threading.local()
 
     def _finish(self, span: _Span, duration: float) -> None:
         entry: dict = {

@@ -168,6 +168,7 @@ class Cluster:
             },
             "seen": lambda: set(node.seen),
             "archive_boundary": lambda: node.archive.last_boundary,
+            "gate_split": lambda: node.gate_split,
         }
 
     def _site_call(self, site: int, op: str, *args: object) -> object:
@@ -256,6 +257,11 @@ class Cluster:
                             node.site, partial(node.advance_to, boundary)
                         )
                 self._sync()
+                if self.config.online is not None:
+                    for node in self.nodes:
+                        pruned, full = self._site_call(node.site, "gate_split")
+                        self.network.pruned_tags[node.site] += pruned
+                        self.network.full_inference_tags[node.site] += full
             # Finally hand off query state owed from this interval's
             # migrations: the origin's tick just processed the objects'
             # final local events, so the automaton state is now final.

@@ -264,12 +264,12 @@ class FaultyTransport(Transport):
         return copies
 
     def _note_fault(self, fault: str, env: Envelope) -> None:
-        """Count an injected fault (legacy dict + registry series) and,
+        """Count an injected fault (own dict + ledger gauge) and,
         when telemetry is on, log the state transition to the flight
         recorder. Telemetry never feeds back into the RNG draws or the
         delivery decision, so traced and untraced schedules are equal."""
         self.injected[fault] += 1
-        self.ledger.registry.counter("faults_injected", fault=fault).inc()
+        self.ledger.faults_injected[fault] += 1
         tel = get_telemetry()
         if tel.enabled:
             tel.recorder.record_state(

@@ -39,7 +39,6 @@ its :class:`~repro.serving.history.HistoryService`.
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 from typing import Any, Iterable, Mapping
 
@@ -107,6 +106,10 @@ class SiteNode:
         self.site = trace.site
         self.config = config
         self.service = StreamingInference(trace, config)
+        #: the latest tick's stability-gate split, ``(pruned, full)``
+        #: tags. The cluster books it into the ledger, which lives in
+        #: the parent process even when this node runs in a worker.
+        self.gate_split = (0, 0)
         self.batch_migrations = batch_migrations
         self.queries: dict[str, Any] = {}
         #: the site's shared operator runtime: declarative queries are
@@ -273,27 +276,13 @@ class SiteNode:
         service's retained per-run state — after the archive (the spill
         target) has ingested it."""
         record = self.service.run_at(boundary)
-        if self.service.online is not None and self._transport is not None:
-            self._transport.ledger.note_pruning(
-                self.site, record.pruned_tags, record.full_tags
-            )
-        started = time.perf_counter()
-        self._feed_queries(boundary)
-        record.phase_seconds["queries"] = time.perf_counter() - started
-        started = time.perf_counter()
-        self._feed_archive()
-        record.phase_seconds["archive"] = time.perf_counter() - started
+        self.gate_split = (record.pruned_tags, record.full_tags)
         tel = get_telemetry()
-        if tel.enabled:
-            tel.emit_span(
-                "site", "queries", record.phase_seconds["queries"],
-                site=self.site, boundary=boundary,
-            )
-            tel.emit_span(
-                "archive", "append", record.phase_seconds["archive"],
-                site=self.site, boundary=boundary,
-                archived_boundary=self.archive.last_boundary,
-            )
+        with tel.span("site", "queries", site=self.site, boundary=boundary):
+            self._feed_queries(boundary)
+        with tel.span("archive", "append", site=self.site, boundary=boundary) as span:
+            self._feed_archive()
+            span.set(archived_boundary=self.archive.last_boundary)
         self.service.truncate_history()
 
     def _feed_archive(self) -> None:

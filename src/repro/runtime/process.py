@@ -49,6 +49,7 @@ bit-identity invariant rest on. Parallelism only ever reorders work
 
 from __future__ import annotations
 
+import os
 import time
 import traceback
 from collections import deque
@@ -384,7 +385,7 @@ class ProcessTransport(Transport):
         counts = {w: 0 for w in range(len(self._workers))}
         for worker in self._shard.values():
             counts[worker] += 1
-        self.ledger.note_shard_sites(counts)
+        self.ledger.shard_sites = counts
 
     # -- worker main loop ---------------------------------------------------
 
@@ -393,11 +394,14 @@ class ProcessTransport(Transport):
         shim = _WorkerShim(self.outer_reliable)
         # The fork copies the parent's telemetry buffers; discard them
         # or the first delta pull would re-ship (double-count) every
-        # pre-fork parent entry.
+        # pre-fork parent entry. The span ids move to this process's
+        # own namespace so they cannot collide with the parent's or a
+        # sibling worker's.
         fork_tel = get_telemetry()
         if fork_tel.enabled:
             fork_tel.registry.drain()
             fork_tel.recorder.drain()
+            fork_tel.tracer.fork(os.getpid())
         hosted = {s for s, w in self._shard.items() if w == index}
         for site in hosted:
             self._site_ops[site]["attach"](shim)
@@ -543,7 +547,7 @@ class ProcessTransport(Transport):
         for env in outbox:
             worker = self._shard.get(env.src)
             if worker is not None:
-                self.ledger.note_shard_traffic(worker, out_bytes=len(env.payload))
+                self.ledger.shard_bytes_out[worker] += len(env.payload)
             self.egress(env)
         if kind == "call":
             self._call_results.append(result)
@@ -579,7 +583,7 @@ class ProcessTransport(Transport):
             raise RuntimeError("transport is closed")
         w = self._shard.get(env.dst) if self._started else None
         if w is not None:
-            self.ledger.note_shard_traffic(w, in_bytes=len(env.payload))
+            self.ledger.shard_bytes_in[w] += len(env.payload)
             self._send_cmd(w, ("deliver", env))
             return
         handler = self._handlers.get(env.dst)
@@ -669,7 +673,7 @@ class ProcessTransport(Transport):
         self._send_cmd(target, ("adopt", site, blob))
         self._shard[site] = target
         self.flush()
-        self.ledger.note_rebalance()
+        self.ledger.rebalances += 1
         self._note_shard_gauges()
 
     def maybe_rebalance(self) -> bool:

@@ -509,7 +509,7 @@ class QueryFrontend:
             if retransmit:
                 ledger = getattr(transport, "ledger", None)
                 if ledger is not None:
-                    ledger.note_frontend_retransmits(len(retransmit))
+                    ledger.frontend_retransmits += len(retransmit)
             for request_id, payload, site, endpoint in retransmit:
                 _, _, request = pending[request_id]
                 transport.send(

@@ -1,7 +1,7 @@
 """The observability plane's unit surface: registry encoding
 determinism, flight-recorder bounding, causal span parentage, the
-telemetry facade's disabled-by-default contract, the compat properties
-that migrated the planes' ad-hoc counters, and the summary CLI.
+telemetry facade's disabled-by-default contract, the ledger and tier
+gauges as plain attributes, and the summary CLI.
 """
 
 from __future__ import annotations
@@ -178,22 +178,12 @@ class TestTracer:
         assert inner_entry["rows"] == 10
         assert inner_entry["duration"] >= 0.0
 
-    def test_emit_records_pre_timed_span_under_explicit_parent(self):
-        tel = Telemetry(capacity=32)
-        parent = tel.emit_span("inference", "run", 0.5, site=1)
-        child = tel.emit_span("inference", "phase.e_step", 0.3, parent_id=parent)
-        assert parent > 0 and child > parent
-        spans = tel.recorder.entries()
-        assert spans[1]["parent_id"] == parent
-        assert spans[1]["duration"] == 0.3
-
     def test_disabled_telemetry_returns_null_span_and_records_nothing(self):
         tel = Telemetry(enabled=False, capacity=4)
         span = tel.span("edge", "pump_round")
         assert span is NULL_SPAN
         with span as s:
             s.set(anything=1)
-        assert tel.emit_span("x", "y", 1.0) == 0
         tel.record_state("x", "y")
         tel.counter("c").inc()  # registry still works when disabled
         assert len(tel.recorder) == 0
@@ -229,50 +219,51 @@ class TestTelemetryGlobal:
         assert ["sealed", [], 5] in lines[-1]["registry"]["counters"]
 
 
-class TestCompatProperties:
-    """The migrated ad-hoc counters keep their legacy read/write API
-    but live on the unified registry."""
+class TestPlainGauges:
+    """The ledger's and the archive tiers' always-on gauges are plain
+    attributes, read and bumped in place."""
 
-    def test_network_gauges_land_on_registry(self):
+    def test_network_gauges_start_at_zero_and_count(self):
         ledger = Network()
         ledger.plan_operators_built += 3
-        ledger.note_frontend_retransmits(2)
-        ledger.note_edge_late(1, dropped=0)
-        assert ledger.registry.counter("plan_operators_built").value == 3
-        assert ledger.registry.counter("frontend_retransmits").value == 2
+        ledger.frontend_retransmits += 2
+        ledger.edge_late_readings += 1
+        ledger.pruned_tags[0] += 4
+        ledger.pruned_tags[1] += 0
+        ledger.faults_injected["drop"] += 1
+        assert ledger.plan_operators_built == 3
         assert ledger.frontend_retransmits == 2
-        assert ledger.edge_late_readings == 1 and ledger.edge_late_dropped == 0
-
-    def test_network_pruning_counters_are_per_site_series(self):
-        ledger = Network()
-        ledger.note_pruning(0, pruned=4, full=1)
-        ledger.note_pruning(1, pruned=2, full=3)
-        ledger.note_pruning(0, pruned=1, full=0)
-        assert ledger.pruned_tags == {0: 5, 1: 2}
-        assert ledger.full_inference_tags == {0: 1, 1: 3}
-        assert ledger.registry.counter("pruned_tags", site=0).value == 5
-        assert ledger.pruning_gauges() == {
-            "pruned_tags": {0: 5, 1: 2},
-            "full_inference_tags": {0: 1, 1: 3},
+        assert ledger.rebalances == 0
+        assert ledger.edge_gauges() == {
+            "late_readings": 1,
+            "late_dropped": 0,
+            "window_reruns": 0,
+            "duplicate_batches": 0,
         }
+        assert ledger.pruned_tags == {0: 4, 1: 0}
+        assert ledger.faults_injected == {"drop": 1}
 
-    def test_tier_stats_back_onto_registry(self):
+    def test_tier_stats_as_dict(self):
         stats = TierStats()
         stats.spills += 2
         stats.corruptions += 1
-        assert stats.registry.counter("spills").value == 2
-        assert stats.as_dict()["spills"] == 2
-        assert stats.as_dict()["corruptions"] == 1
-        assert stats.as_dict()["loads"] == 0
+        assert stats.as_dict() == {
+            "spills": 2,
+            "loads": 0,
+            "cache_hits": 0,
+            "evictions": 0,
+            "bytes_spilled": 0,
+            "corruptions": 1,
+        }
 
 
 class TestSummaryCli:
     def test_summarizes_a_demo_dump(self, tmp_path, capsys):
         with telemetry_session(capacity=64, dump_dir=str(tmp_path)) as tel:
-            parent = tel.emit_span("inference", "run", 0.25, site=0)
-            tel.emit_span("inference", "phase.e_step", 0.2, parent_id=parent, site=0)
             with tel.span("federation", "tick", boundary=300):
-                pass
+                with tel.span("inference", "run", site=0):
+                    with tel.span("inference", "phase.e_step"):
+                        pass
             tel.record_state("federation", "site.crash", site=1)
             tel.counter("inference_runs", site=0).inc()
             path = tel.dump(reason="demo")
@@ -280,12 +271,14 @@ class TestSummaryCli:
         out = capsys.readouterr().out
         assert "per-plane spans" in out
         assert "inference" in out and "federation" in out
+        assert "inference/phase.e_step" in out
         assert "site.crash" in out
         assert "inference_runs{site=0}" in out
 
     def test_plane_filter_and_missing_file(self, tmp_path, capsys):
         with telemetry_session(capacity=8, dump_dir=str(tmp_path)) as tel:
-            tel.emit_span("edge", "pump_round", 0.1)
+            with tel.span("edge", "pump_round"):
+                pass
             path = tel.dump(reason="demo")
         assert summary_main([path, "--plane", "edge"]) == 0
         assert "edge" in capsys.readouterr().out

@@ -96,14 +96,11 @@ class TestTelemetryChaos:
             names = {e.get("name") for e in entries}
             assert "site.crash" in names and "site.recover" in names
             assert any(str(e.get("name", "")).startswith("inject.") for e in entries)
-            # The always-on ledger registry mirrors the injected dict
+            # The always-on ledger gauge mirrors the injected dict
             # exactly (some seeds legitimately never draw one kind).
             assert sum(faulty.injected.values()) > 0
             for fault, n in faulty.injected.items():
-                assert (
-                    faulty.ledger.registry.counter("faults_injected", fault=fault).value
-                    == n
-                )
+                assert faulty.ledger.faults_injected[fault] == n
 
     def test_on_off_bit_identical_on_process_transport(self, scenario, baseline):
         """The pipe-plane telemetry delta protocol (workers drain their

@@ -5,7 +5,9 @@ prunability rules (cooloff, staleness, seeded refresh, posterior
 threshold), interval-signal classification from raw readings, and the
 :class:`MemoryBudget` machinery: history truncation with absolute event
 cursors, budget-clamped windows, critical-region stash/restore, and
-window-cache eviction.
+window-cache eviction. Phase coverage is checked on the span tree of a
+traced run, and the gated federation on both the in-process and the
+process transport.
 """
 
 from __future__ import annotations
@@ -24,12 +26,49 @@ from repro.core.online import (
     interval_signals,
 )
 from repro.core.service import ServiceConfig, StreamingInference
+from repro.obs import telemetry_session
+from repro.obs.summary import load_dump
+from repro.runtime import Cluster, ProcessTransport
 from repro.sim.tags import EPC, TagKind
 from repro.workloads.scenarios import cold_chain_scenario
 
 ITEM = EPC(TagKind.ITEM, 0)
 CASE = EPC(TagKind.CASE, 0)
 OTHER_CASE = EPC(TagKind.CASE, 1)
+
+#: every span name an ``inference/run`` may have as a direct child.
+PHASES = {
+    "phase.detector",
+    "phase.window",
+    "phase.prune",
+    "phase.candidates",
+    "phase.mstep_setup",
+    "phase.e_step",
+    "phase.m_step",
+    "phase.evidence",
+    "phase.changes",
+    "phase.cr",
+    "phase.events",
+}
+GATE_PHASES = {"phase.detector", "phase.prune"}
+
+
+def traced_spans(run) -> list[dict]:
+    """Call ``run()`` under a telemetry session; return its spans."""
+    with telemetry_session(capacity=65536) as tel:
+        run()
+    return [e for e in tel.recorder.entries() if e["type"] == "span"]
+
+
+def run_children(spans: list[dict]) -> dict[int, set[str]]:
+    """Direct child span names of each ``inference/run`` span."""
+    children: dict[int, set[str]] = {
+        s["span_id"]: set() for s in spans if s["name"] == "run"
+    }
+    for s in spans:
+        if s["parent_id"] in children:
+            children[s["parent_id"]].add(s["name"])
+    return children
 
 
 class FakeSignals:
@@ -246,11 +285,15 @@ GATED = ServiceConfig(
 
 class TestMemoryBudget:
     @pytest.fixture(scope="class")
-    def service(self):
+    def traced(self):
         scenario = cold_chain_scenario(seed=11, n_sites=1, horizon=1500)
         service = StreamingInference(scenario.trace, GATED)
-        service.run_until(1500)
-        return service
+        spans = traced_spans(lambda: service.run_until(1500))
+        return service, spans
+
+    @pytest.fixture(scope="class")
+    def service(self, traced):
+        return traced[0]
 
     def test_history_is_truncated(self, service):
         cut = service.last_run_time - GATED.budget.horizon
@@ -285,11 +328,13 @@ class TestMemoryBudget:
         assert service._windows.max_age == GATED.budget.horizon
         assert service._windows.cached_rows() <= GATED.budget.horizon
 
-    def test_gate_actually_pruned(self, service):
+    def test_gate_actually_pruned(self, traced):
+        service, spans = traced
         assert sum(r.pruned_tags for r in service.runs) > 0
-        assert all(
-            set(r.phase_seconds) >= {"detector", "prune"} for r in service.runs
-        )
+        children = run_children(spans)
+        assert len(children) == 1500 // GATED.run_interval
+        for names in children.values():
+            assert GATE_PHASES <= names <= PHASES
 
     def test_retained_runs_cap(self):
         scenario = cold_chain_scenario(seed=11, n_sites=1, horizon=900)
@@ -307,10 +352,25 @@ class TestMemoryBudget:
         service = StreamingInference(
             scenario.trace, ServiceConfig(run_interval=300, recent_history=300)
         )
-        record = service.run_at(300)
-        assert record.phase_seconds["detector"] == 0.0
-        assert record.phase_seconds["prune"] == 0.0
-        assert record.pruned_tags == 0
+        spans = traced_spans(lambda: service.run_at(300))
+        assert service.runs[-1].pruned_tags == 0
+        (names,) = run_children(spans).values()
+        assert names == PHASES - GATE_PHASES
+
+    def test_empty_window_run_records_its_time(self):
+        # A run at t=0 has no window epochs: only the gate's detector
+        # runs, and its time still counts.
+        scenario = cold_chain_scenario(seed=11, n_sites=1, horizon=300)
+        service = StreamingInference(
+            scenario.trace,
+            ServiceConfig(run_interval=300, recent_history=300, online=OnlineConfig()),
+        )
+        spans = traced_spans(lambda: service.run_at(0))
+        record = service.runs[-1]
+        assert record.window_rows == 0
+        assert record.duration_seconds > 0.0
+        assert service.total_inference_seconds == record.duration_seconds
+        assert list(run_children(spans).values()) == [{"phase.detector"}]
 
 
 class TestRegionStash:
@@ -332,3 +392,71 @@ class TestRegionStash:
         # A parked tag is one the gate pruned on the final boundary.
         final = service.runs[-1]
         assert final.pruned_tags >= len(stashed)
+
+
+class TestGatedFederation:
+    """The stability gate across a federation: the process transport
+    books the same pruning counts as the in-process one (the ledger
+    lives in the parent), and a traced run's span tree is whole."""
+
+    HORIZON = 900
+    CONFIG = ServiceConfig(run_interval=150, recent_history=300, online=OnlineConfig())
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        return cold_chain_scenario(seed=3, n_sites=3, horizon=self.HORIZON)
+
+    @pytest.fixture(scope="class")
+    def in_process(self, scenario):
+        cluster = Cluster(scenario.traces, self.CONFIG)
+        cluster.run(self.HORIZON)
+        return cluster
+
+    @pytest.fixture(scope="class")
+    def process(self, scenario, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("trace") / "gated.jsonl")
+        with telemetry_session(capacity=65536) as tel:
+            with ProcessTransport(n_workers=2) as transport:
+                cluster = Cluster(scenario.traces, self.CONFIG, transport=transport)
+                cluster.run(self.HORIZON)
+            tel.dump(path=path)
+        spans, _, _ = load_dump(path)
+        return cluster, [s for s in spans if s["type"] == "span"]
+
+    def test_process_run_books_the_same_pruning(self, scenario, in_process, process):
+        cluster, _ = process
+        assert cluster.containment_error(scenario.truth) == (
+            in_process.containment_error(scenario.truth)
+        )
+        assert in_process.network.pruned_tags == {0: 133, 1: 0, 2: 0}
+        assert cluster.network.pruned_tags == in_process.network.pruned_tags
+        assert cluster.network.full_inference_tags == (
+            in_process.network.full_inference_tags
+        )
+
+    def test_span_ids_unique_and_parents_resolve(self, process):
+        _, spans = process
+        ids = [s["span_id"] for s in spans]
+        known = set(ids)
+        assert len(ids) == len(known)
+        assert all(s["parent_id"] in known for s in spans if s["parent_id"])
+        assert {s["worker"] for s in spans if "worker" in s} == {0, 1}
+
+    def test_every_run_has_gated_phase_children(self, process):
+        _, spans = process
+        children = run_children(spans)
+        assert len(children) == 3 * (self.HORIZON // self.CONFIG.run_interval)
+        for names in children.values():
+            assert GATE_PHASES <= names <= PHASES
+
+    def test_each_boundary_yields_queries_and_archive_spans(self, process):
+        _, spans = process
+        expected = {
+            (site, boundary)
+            for site in range(3)
+            for boundary in range(150, self.HORIZON + 1, 150)
+        }
+        for name in ("run", "queries", "append"):
+            assert {(s["site"], s["boundary"]) for s in spans if s["name"] == name} == (
+                expected
+            ), name
