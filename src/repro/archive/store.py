@@ -27,6 +27,12 @@ merges adjacent same-value intervals across segments. Readers take
 (immutable), pending/open state is copied — so a reader's answers are
 unaffected by appends that happen after the snapshot.
 
+Ingest cost follows what changed, not how many tags the site has ever
+inferred: each boundary visits only the tags whose containment or
+candidate weights the service wrote since the archive's last ingest,
+and falls back to a full scan of the service state when that change
+feed cannot answer (a fresh archive, a checkpoint-restored service).
+
 Everything here is deterministic: ingest iterates service state in
 sorted-tag order and posteriors are computed with a fixed summation
 order, so two runs with bit-identical inference state produce
@@ -420,6 +426,11 @@ class SiteArchive:
         #: volatile — a restarted service starts a fresh events list, so
         #: the cursor resets with it (see :mod:`repro.archive.codec`).
         self._event_cursor = 0
+        #: the service's change-feed cursor (see
+        #: :meth:`~repro.core.service.StreamingInference.changed_since`);
+        #: volatile too — None, or any cursor the service did not issue
+        #: last, makes the next ingest a full scan.
+        self._change_cursor: object = None
 
     # -- interning --------------------------------------------------------
 
@@ -457,6 +468,14 @@ class SiteArchive:
         log; the containment snapshot and the posterior top-k extend
         their interval logs. Iteration is in sorted-tag order so the
         archive is a pure function of the service state.
+
+        Only tags the service wrote since the previous ingest are
+        visited (its :meth:`~repro.core.service.StreamingInference.changed_since`
+        feed): an unwritten tag's containment and top-k are what the
+        archive already holds open, so revisiting it could not change a
+        row. When the service cannot answer the cursor (a fresh archive,
+        a service rebuilt from a checkpoint) or has no change feed, the
+        same loops run over every tag it holds.
         """
         boundary = service.last_run_time
         if boundary < self.last_boundary:
@@ -480,11 +499,25 @@ class SiteArchive:
             )
             if event.time > self.last_event.get(tag_id, -1):
                 self.last_event[tag_id] = event.time
-        for tag in sorted(service.containment):
+        changed_since = getattr(service, "changed_since", None)
+        if changed_since is None:
+            # A feed without change tracking: every tag counts as changed.
+            changed = service.containment.keys() | service.last_weights.keys()
+        else:
+            changed, self._change_cursor = changed_since(self._change_cursor)
+        # One normalization per changed tag, shared by both logs. A tag
+        # can surface with zero containment candidates in its window
+        # (e.g. nothing co-located before it moved on); it has no
+        # posterior, so no belief row.
+        posteriors = {
+            tag: _posteriors(weights)
+            for tag in sorted(changed & service.last_weights.keys())
+            if (weights := service.last_weights[tag])
+        }
+        for tag in sorted(changed & service.containment.keys()):
             tag_id = self.intern_tag(tag)
             container = service.containment[tag]
-            weights = service.last_weights.get(tag)
-            posterior_list = _posteriors(weights) if weights else []
+            posterior_list = posteriors.get(tag, [])
             if container is None:
                 state = ((NO_CONTAINER, 1.0),)
             else:
@@ -492,15 +525,8 @@ class SiteArchive:
                 posterior = table.get(container, 1.0 if not posterior_list else 0.0)
                 state = ((self.intern_tag(container), posterior),)
             self.containment.observe(tag_id, boundary, state, value_only=True)
-        for tag in sorted(service.last_weights):
-            weights = service.last_weights[tag]
-            if not weights:
-                # A tag can surface with zero containment candidates in
-                # its window (e.g. nothing co-located before it moved
-                # on); there is no posterior to log for it.
-                continue
+        for tag, posterior_list in posteriors.items():
             tag_id = self.intern_tag(tag)
-            posterior_list = _posteriors(weights)
             top = sorted(posterior_list, key=lambda cp: (-cp[1], cp[0]))[: self.top_k]
             self.belief.observe(
                 tag_id,

@@ -145,6 +145,12 @@ class StreamingInference:
         #: consumers hold *absolute* cursors (see :meth:`events_since`).
         self.events_truncated = 0
         self.runs_truncated = 0
+        #: tags written to ``containment`` or ``last_weights`` since the
+        #: change feed's consumer last took them (see
+        #: :meth:`changed_since`); None until a consumer first asks, so a
+        #: service nobody follows records nothing.
+        self._changed: set[EPC] | None = None
+        self._change_cursor: object = None
         #: tags whose containment is only a migrated seed (no local run
         #: has estimated them yet) — excluded from EM initialization.
         self._seeded_only: set[EPC] = set()
@@ -188,6 +194,8 @@ class StreamingInference:
         if state.tag not in self.containment and state.container is not None:
             self.containment[state.tag] = state.container
             self._seeded_only.add(state.tag)
+            if self._changed is not None:
+                self._changed.add(state.tag)
         if state.changed_at is not None:
             self.valid_from.setdefault(state.tag, state.changed_at)
 
@@ -399,6 +407,10 @@ class StreamingInference:
                         result.containment[obj] = change.new_container
 
         self.containment.update(result.containment)
+        if self._changed is not None:
+            # Pinned tags only carry their containment forward unchanged.
+            self._changed.update(result.weights)
+            self._changed.update(result.containment.keys() - pinned.keys())
 
         if detector is not None:
             with tel.span("inference", "phase.detector"):
@@ -456,6 +468,26 @@ class StreamingInference:
         start = max(cursor - self.events_truncated, 0)
         fresh = self.events[start:]
         return fresh, self.events_truncated + len(self.events)
+
+    def changed_since(self, cursor: object) -> tuple[set[EPC], object]:
+        """Tags whose ``containment`` or ``last_weights`` entry was
+        written since the consumer holding ``cursor`` last asked, plus
+        its new cursor (an opaque token).
+
+        Only the cursor issued last can be answered: taking the changes
+        hands them over and restarts the buffer, so it only ever holds
+        changes no consumer has taken yet. Any other cursor — a fresh
+        consumer's ``None``, one issued by another service (e.g. before
+        a checkpoint restore rebuilt this one), or one a second consumer
+        overtook — yields every tag the service holds.
+        """
+        if self._changed is not None and cursor is self._change_cursor:
+            changed = self._changed
+        else:
+            changed = self.containment.keys() | self.last_weights.keys()
+        self._changed = set()
+        self._change_cursor = object()
+        return changed, self._change_cursor
 
     def truncate_history(self) -> None:
         """Enforce the memory budget on all retained per-run state.

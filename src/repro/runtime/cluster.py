@@ -240,9 +240,10 @@ class Cluster:
             # site retrieves state when the object reaches it).
             with tel.span("federation", "route", boundary=boundary):
                 for node in self.nodes:
-                    fresh = self._site_call(
-                        node.site, "poll_arrivals", boundary - interval, boundary
-                    )
+                    with tel.span("federation", "route.poll", site=node.site):
+                        fresh = self._site_call(
+                            node.site, "poll_arrivals", boundary - interval, boundary
+                        )
                     self._route_arrivals(node, fresh, boundary)
                     self._sync()
             # Then tick every site — concurrently under a threaded or
@@ -334,15 +335,17 @@ class Cluster:
             return
         site = node.site
         by_source: dict[int, list[EPC]] = {}
-        for tag in fresh:
-            if self.strategy == "none":
+        tel = get_telemetry()
+        with tel.span("federation", "route.ons", site=site, arrivals=len(fresh)):
+            for tag in fresh:
+                if self.strategy == "none":
+                    self._current_site[tag] = site
+                    continue
+                previous = self.ons.lookup(tag, site)
+                self.ons.update(tag, site)
                 self._current_site[tag] = site
-                continue
-            previous = self.ons.lookup(tag, site)
-            self.ons.update(tag, site)
-            self._current_site[tag] = site
-            if previous is not None and previous != site:
-                by_source.setdefault(previous, []).append(tag)
+                if previous is not None and previous != site:
+                    by_source.setdefault(previous, []).append(tag)
         if self.strategy != "collapsed":
             return
         for src, tags in sorted(by_source.items()):

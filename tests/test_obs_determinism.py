@@ -56,6 +56,20 @@ def traced_or_dump(reason: str, capacity: int = 16384):
             raise
 
 
+def assert_route_phases_traced(entries):
+    """The route phase's own work — arrival polling and the ONS
+    lookup/update loop — is spanned under ``federation/route``."""
+    spans = {e["span_id"]: e for e in entries if e.get("type") == "span"}
+    for name in ("route.poll", "route.ons"):
+        phases = [
+            e for e in spans.values() if (e["plane"], e["name"]) == ("federation", name)
+        ]
+        assert phases, name
+        for phase in phases:
+            parent = spans[phase["parent_id"]]
+            assert (parent["plane"], parent["name"]) == ("federation", "route")
+
+
 def assert_bit_identical(off, on):
     """Telemetry-on must equal telemetry-off on *every* observable,
     including the fault-overhead ledger bytes the chaos invariant
@@ -96,6 +110,7 @@ class TestTelemetryChaos:
             names = {e.get("name") for e in entries}
             assert "site.crash" in names and "site.recover" in names
             assert any(str(e.get("name", "")).startswith("inject.") for e in entries)
+            assert_route_phases_traced(entries)
             # The always-on ledger gauge mirrors the injected dict
             # exactly (some seeds legitimately never draw one kind).
             assert sum(faulty.injected.values()) > 0
@@ -132,6 +147,7 @@ class TestTelemetryChaos:
             # worker id — the causal record spans the fork boundary.
             workers = {e["worker"] for e in tel.recorder.entries() if "worker" in e}
             assert workers & {0, 1}
+            assert_route_phases_traced(tel.recorder.entries())
             assert tel.registry.counter("inference_runs", site=0).value > 0
 
 
